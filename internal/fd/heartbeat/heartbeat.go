@@ -92,13 +92,13 @@ type Detector struct {
 	n    int
 
 	mu        sync.Mutex
-	suspected fd.Set
-	lastHeard map[dsys.ProcessID]time.Duration
-	timeout   map[dsys.ProcessID]time.Duration
+	suspected fd.Bitset
+	// Per-peer state is indexed by process ID.
+	peers []fd.Peer
 	// Jacobson estimator state (PolicyJacobson): smoothed inter-arrival
 	// mean and deviation per sender.
-	srtt   map[dsys.ProcessID]time.Duration
-	rttvar map[dsys.ProcessID]time.Duration
+	srtt   []time.Duration
+	rttvar []time.Duration
 
 	falseSusp int
 }
@@ -112,18 +112,10 @@ func Start(p dsys.Proc, opt Options) *Detector {
 		opt:       opt,
 		self:      p.ID(),
 		n:         p.N(),
-		suspected: fd.Set{},
-		lastHeard: make(map[dsys.ProcessID]time.Duration, p.N()),
-		timeout:   make(map[dsys.ProcessID]time.Duration, p.N()),
-		srtt:      make(map[dsys.ProcessID]time.Duration, p.N()),
-		rttvar:    make(map[dsys.ProcessID]time.Duration, p.N()),
-	}
-	now := p.Now()
-	for _, q := range p.All() {
-		if q != d.self {
-			d.lastHeard[q] = now
-			d.timeout[q] = opt.InitialTimeout
-		}
+		suspected: fd.NewBitset(p.N()),
+		peers:     fd.NewPeers(p.N(), p.Now(), opt.InitialTimeout),
+		srtt:      make([]time.Duration, p.N()+1),
+		rttvar:    make([]time.Duration, p.N()+1),
 	}
 	// Declared as loop tasks so the simulator can run them goroutine-free;
 	// spawn order and task shape exactly mirror the blocking originals.
@@ -137,7 +129,7 @@ func Start(p dsys.Proc, opt Options) *Detector {
 func (d *Detector) Suspected() fd.Set {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.suspected.Clone()
+	return d.suspected.Snapshot()
 }
 
 // FalseSuspicions returns how many suspicions were retracted because a
@@ -148,11 +140,15 @@ func (d *Detector) FalseSuspicions() int {
 	return d.falseSusp
 }
 
-// Timeout returns the current adaptive timeout for q.
+// Timeout returns the current adaptive timeout for q, or 0 for an ID
+// outside 1..n.
 func (d *Detector) Timeout(q dsys.ProcessID) time.Duration {
+	if q < 1 || int(q) > d.n {
+		return 0
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.timeout[q]
+	return d.peers[q].Timeout
 }
 
 // sendStep is one heartbeat period: I-AM-ALIVE to everyone else.
@@ -168,8 +164,8 @@ func (d *Detector) sendStep(p dsys.Proc) {
 func (d *Detector) recvStep(p dsys.Proc, m *dsys.Message) {
 	d.mu.Lock()
 	now := p.Now()
-	gap := now - d.lastHeard[m.From]
-	d.lastHeard[m.From] = now
+	gap := now - d.peers[m.From].Heard
+	d.peers[m.From].Heard = now
 	wasSuspected := d.suspected.Has(m.From)
 	if wasSuspected {
 		d.suspected.Remove(m.From)
@@ -179,7 +175,7 @@ func (d *Detector) recvStep(p dsys.Proc, m *dsys.Message) {
 		switch d.opt.Policy {
 		case PolicyAdditive:
 			if wasSuspected {
-				d.timeout[m.From] += d.opt.TimeoutIncrement
+				d.peers[m.From].Timeout += d.opt.TimeoutIncrement
 			}
 		case PolicyJacobson:
 			d.observeGapLocked(m.From, gap)
@@ -209,7 +205,7 @@ func (d *Detector) observeGapLocked(q dsys.ProcessID, gap time.Duration) {
 	if to < d.opt.Period {
 		to = d.opt.Period
 	}
-	d.timeout[q] = to
+	d.peers[q].Timeout = to
 }
 
 // checkStep is one expiry evaluation over all monitored processes.
@@ -220,7 +216,7 @@ func (d *Detector) checkStep(p dsys.Proc) {
 		if q == d.self || d.suspected.Has(q) {
 			continue
 		}
-		if now-d.lastHeard[q] > d.timeout[q] {
+		if pq := &d.peers[q]; now-pq.Heard > pq.Timeout {
 			d.suspected.Add(q)
 		}
 	}

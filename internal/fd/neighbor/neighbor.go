@@ -77,12 +77,11 @@ type Detector struct {
 	n    int
 
 	mu        sync.Mutex
-	susp      fd.Set // only processes this module timed out on itself
+	susp      fd.Bitset // only processes this module timed out on itself
 	pred      dsys.ProcessID
 	rewatched bool
-	lastHeard map[dsys.ProcessID]time.Duration
-	timeout   map[dsys.ProcessID]time.Duration
-	watchers  map[dsys.ProcessID]time.Duration
+	peers     []fd.Peer // indexed by process ID
+	watchers  fd.Watchers
 	lastWatch time.Duration
 	falseSusp int
 }
@@ -93,20 +92,11 @@ var _ fd.Suspector = (*Detector)(nil)
 func Start(p dsys.Proc, opt Options) *Detector {
 	opt.fill()
 	d := &Detector{
-		opt:       opt,
-		self:      p.ID(),
-		n:         p.N(),
-		susp:      fd.Set{},
-		lastHeard: make(map[dsys.ProcessID]time.Duration, p.N()),
-		timeout:   make(map[dsys.ProcessID]time.Duration, p.N()),
-		watchers:  make(map[dsys.ProcessID]time.Duration),
-	}
-	now := p.Now()
-	for _, q := range p.All() {
-		if q != d.self {
-			d.lastHeard[q] = now
-			d.timeout[q] = opt.InitialTimeout
-		}
+		opt:   opt,
+		self:  p.ID(),
+		n:     p.N(),
+		susp:  fd.NewBitset(p.N()),
+		peers: fd.NewPeers(p.N(), p.Now(), opt.InitialTimeout),
 	}
 	d.pred = d.nearestPred()
 	p.Spawn("nb-beat", d.beatTask)
@@ -119,7 +109,7 @@ func Start(p dsys.Proc, opt Options) *Detector {
 func (d *Detector) Suspected() fd.Set {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.susp.Clone()
+	return d.susp.Snapshot()
 }
 
 // FalseSuspicions returns how many suspicions were retracted.
@@ -168,28 +158,18 @@ func (d *Detector) setPred(p dsys.Proc, q dsys.ProcessID) {
 	if q == dsys.None {
 		return
 	}
-	d.lastHeard[q] = p.Now()
+	d.peers[q].Heard = p.Now()
 	d.lastWatch = p.Now()
 	p.Send(q, KindWatch, nil)
 }
 
 func (d *Detector) beatTask(p dsys.Proc) {
+	var targets []dsys.ProcessID
 	for {
 		d.mu.Lock()
-		targets := fd.Set{}
-		if s := d.nearestSucc(); s != dsys.None {
-			targets.Add(s)
-		}
-		now := p.Now()
-		for w, exp := range d.watchers {
-			if exp <= now {
-				delete(d.watchers, w)
-			} else {
-				targets.Add(w)
-			}
-		}
+		targets = d.watchers.Targets(targets, d.nearestSucc(), p.Now())
 		d.mu.Unlock()
-		for _, q := range targets.Members() {
+		for _, q := range targets {
 			p.Send(q, KindBeat, nil)
 		}
 		p.Sleep(d.opt.Period)
@@ -206,13 +186,13 @@ func (d *Detector) recvTask(p dsys.Proc) {
 		d.mu.Lock()
 		switch m.Kind {
 		case KindWatch:
-			d.watchers[m.From] = p.Now() + d.opt.WatchTTL
+			d.watchers.Watch(m.From, p.Now()+d.opt.WatchTTL)
 		case KindBeat:
-			d.lastHeard[m.From] = p.Now()
+			d.peers[m.From].Heard = p.Now()
 			if d.susp.Has(m.From) {
 				d.susp.Remove(m.From)
 				d.falseSusp++
-				d.timeout[m.From] += d.opt.TimeoutIncrement
+				d.peers[m.From].Timeout += d.opt.TimeoutIncrement
 				if np := d.nearestPred(); np != d.pred {
 					d.setPred(p, np)
 				}
@@ -234,10 +214,10 @@ func (d *Detector) checkTask(p dsys.Proc) {
 			d.mu.Unlock()
 			continue
 		}
-		if now-d.lastHeard[d.pred] > d.timeout[d.pred] {
+		if pr := &d.peers[d.pred]; now-pr.Heard > pr.Timeout {
 			if !d.rewatched {
 				d.rewatched = true
-				d.lastHeard[d.pred] = now
+				d.peers[d.pred].Heard = now
 				d.lastWatch = now
 				p.Send(d.pred, KindWatch, nil)
 			} else {

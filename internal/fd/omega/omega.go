@@ -91,12 +91,11 @@ type LeaderBeat struct {
 	self dsys.ProcessID
 	n    int
 
-	mu        sync.Mutex
-	susp      fd.Set // suspected leader candidates (always a prefix-ish set)
-	lastHeard map[dsys.ProcessID]time.Duration
-	timeout   map[dsys.ProcessID]time.Duration
-	changes   int
-	last      dsys.ProcessID
+	mu      sync.Mutex
+	susp    fd.Bitset // suspected leader candidates (always a prefix-ish set)
+	peers   []fd.Peer // indexed by process ID
+	changes int
+	last    dsys.ProcessID
 
 	payloadFn func() any
 	onBeacon  []func(from dsys.ProcessID, payload any)
@@ -111,19 +110,11 @@ var (
 func StartLeaderBeat(p dsys.Proc, opt Options) *LeaderBeat {
 	opt.fill()
 	d := &LeaderBeat{
-		opt:       opt,
-		self:      p.ID(),
-		n:         p.N(),
-		susp:      fd.Set{},
-		lastHeard: make(map[dsys.ProcessID]time.Duration, p.N()),
-		timeout:   make(map[dsys.ProcessID]time.Duration, p.N()),
-	}
-	now := p.Now()
-	for _, q := range p.All() {
-		if q != d.self {
-			d.lastHeard[q] = now
-			d.timeout[q] = opt.InitialTimeout
-		}
+		opt:   opt,
+		self:  p.ID(),
+		n:     p.N(),
+		susp:  fd.NewBitset(p.N()),
+		peers: fd.NewPeers(p.N(), p.Now(), opt.InitialTimeout),
 	}
 	d.last = d.trustedLocked()
 	p.Spawn("omega-beat", d.beatTask)
@@ -140,7 +131,7 @@ func (d *LeaderBeat) Trusted() dsys.ProcessID {
 }
 
 func (d *LeaderBeat) trustedLocked() dsys.ProcessID {
-	return fd.FirstNonSuspected(d.susp, d.n)
+	return d.susp.FirstAbsent()
 }
 
 // LeaderChanges counts how often this module's trusted process changed — a
@@ -204,10 +195,10 @@ func (d *LeaderBeat) recvTask(p dsys.Proc) {
 		}
 		pay := m.Payload.(*BeatPayload)
 		d.mu.Lock()
-		d.lastHeard[m.From] = p.Now()
+		d.peers[m.From].Heard = p.Now()
 		if d.susp.Has(m.From) {
 			d.susp.Remove(m.From)
-			d.timeout[m.From] += d.opt.TimeoutIncrement
+			d.peers[m.From].Timeout += d.opt.TimeoutIncrement
 			d.noteChangeLocked()
 		}
 		handlers := d.onBeacon
@@ -224,12 +215,12 @@ func (d *LeaderBeat) checkTask(p dsys.Proc) {
 		now := p.Now()
 		d.mu.Lock()
 		ldr := d.trustedLocked()
-		if ldr != dsys.None && ldr != d.self && now-d.lastHeard[ldr] > d.timeout[ldr] {
+		if ldr != dsys.None && ldr != d.self && now-d.peers[ldr].Heard > d.peers[ldr].Timeout {
 			d.susp.Add(ldr)
 			// Grant the next candidate a fresh grace period: it does not
 			// broadcast until it learns it is leader, which takes time.
 			if nxt := d.trustedLocked(); nxt != dsys.None && nxt != d.self {
-				d.lastHeard[nxt] = now
+				d.peers[nxt].Heard = now
 			}
 			d.noteChangeLocked()
 		}
@@ -307,7 +298,7 @@ func (d *FromSuspector) gossipTask(p dsys.Proc) {
 	for {
 		susp := d.under.Suspected()
 		d.mu.Lock()
-		for q := range susp {
+		for _, q := range susp.Members() {
 			d.counters[int(q)-1]++
 		}
 		snapshot := make([]uint64, d.n)

@@ -2,7 +2,6 @@ package omega
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/dsys"
 	"repro/internal/fd"
@@ -36,12 +35,11 @@ type Stable struct {
 	self dsys.ProcessID
 	n    int
 
-	mu        sync.Mutex
-	epoch     []uint32 // index 0 = p1
-	lastHeard map[dsys.ProcessID]time.Duration
-	timeout   map[dsys.ProcessID]time.Duration
-	changes   int
-	last      dsys.ProcessID
+	mu      sync.Mutex
+	epoch   []uint32  // index 0 = p1
+	peers   []fd.Peer // indexed by process ID
+	changes int
+	last    dsys.ProcessID
 }
 
 var _ fd.LeaderOracle = (*Stable)(nil)
@@ -50,19 +48,11 @@ var _ fd.LeaderOracle = (*Stable)(nil)
 func StartStable(p dsys.Proc, opt Options) *Stable {
 	opt.fill()
 	d := &Stable{
-		opt:       opt,
-		self:      p.ID(),
-		n:         p.N(),
-		epoch:     make([]uint32, p.N()),
-		lastHeard: make(map[dsys.ProcessID]time.Duration, p.N()),
-		timeout:   make(map[dsys.ProcessID]time.Duration, p.N()),
-	}
-	now := p.Now()
-	for _, q := range p.All() {
-		if q != d.self {
-			d.lastHeard[q] = now
-			d.timeout[q] = opt.InitialTimeout
-		}
+		opt:   opt,
+		self:  p.ID(),
+		n:     p.N(),
+		epoch: make([]uint32, p.N()),
+		peers: fd.NewPeers(p.N(), p.Now(), opt.InitialTimeout),
 	}
 	d.last = d.leaderLocked()
 	p.Spawn("omegastable-beat", d.beatTask)
@@ -114,7 +104,7 @@ func (d *Stable) noteChangeLocked(p dsys.Proc) {
 	// Grace period for the new leader: it starts beating only once it
 	// learns (by vector convergence) that it leads.
 	if l != d.self {
-		d.lastHeard[l] = p.Now()
+		d.peers[l].Heard = p.Now()
 	}
 }
 
@@ -147,7 +137,7 @@ func (d *Stable) recvTask(p dsys.Proc) {
 		}
 		vec := m.Payload.([]uint32)
 		d.mu.Lock()
-		d.lastHeard[m.From] = p.Now()
+		d.peers[m.From].Heard = p.Now()
 		for i := range d.epoch {
 			if vec[i] > d.epoch[i] {
 				d.epoch[i] = vec[i]
@@ -164,12 +154,12 @@ func (d *Stable) checkTask(p dsys.Proc) {
 		now := p.Now()
 		d.mu.Lock()
 		ldr := d.leaderLocked()
-		if ldr != d.self && now-d.lastHeard[ldr] > d.timeout[ldr] {
+		if ldr != d.self && now-d.peers[ldr].Heard > d.peers[ldr].Timeout {
 			// Accuse the silent leader: its epoch grows (locally first;
 			// globally once our vector spreads) and it is permanently
 			// outranked by the accusation — no flapping back.
 			d.epoch[int(ldr)-1]++
-			d.timeout[ldr] += d.opt.TimeoutIncrement
+			d.peers[ldr].Timeout += d.opt.TimeoutIncrement
 			d.noteChangeLocked(p)
 		}
 		d.mu.Unlock()

@@ -91,14 +91,17 @@ type Detector struct {
 	self dsys.ProcessID
 	n    int
 
-	mu        sync.Mutex
-	susp      fd.Set
+	mu   sync.Mutex
+	susp fd.Bitset
+	// scratch is where a predecessor's beat is rebuilt into a suspect set;
+	// it is swapped with susp only when the two differ, so an unchanged
+	// list keeps susp's cached beat payload.
+	scratch   fd.Bitset
 	pred      dsys.ProcessID // nearest non-suspected predecessor; None if alone
 	rewatched bool           // a retry WATCH was sent for the current pred deadline
-	lastHeard map[dsys.ProcessID]time.Duration
-	timeout   map[dsys.ProcessID]time.Duration
-	watchers  map[dsys.ProcessID]time.Duration // watcher -> expiry
-	lastWatch time.Duration                    // last renewal WATCH to pred
+	peers     []fd.Peer      // indexed by process ID
+	watchers  fd.Watchers
+	lastWatch time.Duration // last renewal WATCH to pred
 	falseSusp int
 
 	// Leadership deferral (fd.LeadershipDeferrer): ready is this process's
@@ -124,18 +127,10 @@ func Start(p dsys.Proc, opt Options) *Detector {
 		opt:        opt,
 		self:       p.ID(),
 		n:          p.N(),
-		susp:       fd.Set{},
-		lastHeard:  make(map[dsys.ProcessID]time.Duration, p.N()),
-		timeout:    make(map[dsys.ProcessID]time.Duration, p.N()),
-		watchers:   make(map[dsys.ProcessID]time.Duration),
+		susp:       fd.NewBitset(p.N()),
+		scratch:    fd.NewBitset(p.N()),
+		peers:      fd.NewPeers(p.N(), p.Now(), opt.InitialTimeout),
 		deferUntil: make(map[dsys.ProcessID]time.Duration),
-	}
-	now := p.Now()
-	for _, q := range p.All() {
-		if q != d.self {
-			d.lastHeard[q] = now
-			d.timeout[q] = opt.InitialTimeout
-		}
 	}
 	d.pred = d.nearestPred()
 	// Declared as loop tasks so the simulator can run them goroutine-free;
@@ -151,7 +146,7 @@ func Start(p dsys.Proc, opt Options) *Detector {
 func (d *Detector) Suspected() fd.Set {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.susp.Clone()
+	return d.susp.Snapshot()
 }
 
 // Trusted implements fd.LeaderOracle: the first non-suspected process in
@@ -163,7 +158,7 @@ func (d *Detector) Trusted() dsys.ProcessID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.ready == nil && len(d.deferUntil) == 0 {
-		return fd.FirstNonSuspected(d.susp, d.n)
+		return d.susp.FirstAbsent()
 	}
 	for i := 1; i <= d.n; i++ {
 		q := dsys.ProcessID(i)
@@ -171,7 +166,7 @@ func (d *Detector) Trusted() dsys.ProcessID {
 			return q
 		}
 	}
-	return fd.FirstNonSuspected(d.susp, d.n)
+	return d.susp.FirstAbsent()
 }
 
 // SetReadiness implements fd.LeadershipDeferrer: while fn returns false this
@@ -244,7 +239,7 @@ func (d *Detector) setPred(p dsys.Proc, q dsys.ProcessID) {
 	if q == dsys.None {
 		return
 	}
-	d.lastHeard[q] = p.Now()
+	d.peers[q].Heard = p.Now()
 	d.lastWatch = p.Now()
 	p.Send(q, KindWatch, nil)
 }
@@ -252,19 +247,11 @@ func (d *Detector) setPred(p dsys.Proc, q dsys.ProcessID) {
 // beatStep is one heartbeat period: send the suspect list to the nearest
 // non-suspected successor and every live watcher.
 func (d *Detector) beatStep(p dsys.Proc) {
+	var buf [4]dsys.ProcessID
 	d.mu.Lock()
-	targets := fd.Set{}
-	if s := d.nearestSucc(); s != dsys.None {
-		targets.Add(s)
-	}
-	now := p.Now()
-	for w, exp := range d.watchers {
-		if exp <= now {
-			delete(d.watchers, w)
-		} else {
-			targets.Add(w)
-		}
-	}
+	targets := d.watchers.Targets(buf[:], d.nearestSucc(), p.Now())
+	// The cached payload is shared by every beat until the suspect set
+	// changes; receivers only read it.
 	list := d.susp.Members()
 	ready := d.ready
 	d.mu.Unlock()
@@ -272,9 +259,11 @@ func (d *Detector) beatStep(p dsys.Proc) {
 		// Mark leadership deferral by listing ourselves in our own beat
 		// — no recipient ever suspects the process it just heard from,
 		// so the self-entry is unambiguous and costs no extra message.
-		list = append(list, d.self)
+		// Appending to a full-capacity view copies: the shared payload
+		// never carries the mark.
+		list = append(list[:len(list):len(list)], d.self)
 	}
-	for _, q := range targets.Members() {
+	for _, q := range targets {
 		p.Send(q, KindBeat, list)
 	}
 }
@@ -284,9 +273,9 @@ func (d *Detector) recvStep(p dsys.Proc, m *dsys.Message) {
 	d.mu.Lock()
 	switch m.Kind {
 	case KindWatch:
-		d.watchers[m.From] = p.Now() + d.opt.WatchTTL
+		d.watchers.Watch(m.From, p.Now()+d.opt.WatchTTL)
 	case KindBeat:
-		d.lastHeard[m.From] = p.Now()
+		d.peers[m.From].Heard = p.Now()
 		beat, _ := m.Payload.([]dsys.ProcessID)
 		selfMarked := false
 		for _, q := range beat {
@@ -309,7 +298,7 @@ func (d *Detector) recvStep(p dsys.Proc, m *dsys.Message) {
 			// its timeout, and re-evaluate whom to monitor.
 			d.susp.Remove(m.From)
 			d.falseSusp++
-			d.timeout[m.From] += d.opt.TimeoutIncrement
+			d.peers[m.From].Timeout += d.opt.TimeoutIncrement
 			if np := d.nearestPred(); np != d.pred {
 				d.setPred(p, np)
 			}
@@ -321,10 +310,12 @@ func (d *Detector) recvStep(p dsys.Proc, m *dsys.Message) {
 			// timed out on ourselves, and a predecessor that has not yet
 			// learned of their crashes (the information must travel the
 			// whole ring) must not be able to erase them.
-			newSusp := fd.Set{}
+			newSusp := &d.scratch
+			newSusp.Clear()
 			for _, q := range beat {
 				// q == d.pred also filters the sender's own deferral
 				// mark, which is a leadership hint, not a suspicion.
+				// IDs outside 1..n (a hostile payload) are ignored.
 				if q != d.self && q != d.pred {
 					newSusp.Add(q)
 				}
@@ -332,7 +323,9 @@ func (d *Detector) recvStep(p dsys.Proc, m *dsys.Message) {
 			for q := d.next(d.pred); q != d.self; q = d.next(q) {
 				newSusp.Add(q)
 			}
-			d.susp = newSusp
+			if !newSusp.Equal(&d.susp) {
+				d.susp, d.scratch = d.scratch, d.susp
+			}
 			d.rewatched = false
 		}
 	}
@@ -355,13 +348,13 @@ func (d *Detector) checkStep(p dsys.Proc) {
 		}
 		return
 	}
-	if now-d.lastHeard[d.pred] > d.timeout[d.pred] {
+	if pr := &d.peers[d.pred]; now-pr.Heard > pr.Timeout {
 		if !d.rewatched {
 			// The predecessor may simply not know we are listening
 			// (e.g. it still heartbeats a process we already gave up
 			// on). Ask once more before suspecting it.
 			d.rewatched = true
-			d.lastHeard[d.pred] = now
+			d.peers[d.pred].Heard = now
 			d.lastWatch = now
 			p.Send(d.pred, KindWatch, nil)
 		} else {

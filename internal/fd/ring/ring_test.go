@@ -1,6 +1,8 @@
 package ring_test
 
 import (
+	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/fd/ring"
 	"repro/internal/network"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func run(t *testing.T, n int, seed int64, net network.Network, crashes map[dsys.ProcessID]time.Duration, runFor time.Duration) fdlab.Result {
@@ -201,7 +204,8 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 // converges on p1 again and the marks expire.
 func TestLeadershipDeferral(t *testing.T) {
 	var ready atomic.Bool
-	k := sim.New(sim.Config{N: 3, Network: network.Reliable{Latency: network.Fixed(time.Millisecond)}, Seed: 7})
+	col := trace.NewCollector()
+	k := sim.New(sim.Config{N: 3, Network: network.Reliable{Latency: network.Fixed(time.Millisecond)}, Seed: 7, Trace: col})
 	dets := make(map[dsys.ProcessID]*ring.Detector, 3)
 	for _, id := range dsys.Pids(3) {
 		id := id
@@ -235,5 +239,65 @@ func TestLeadershipDeferral(t *testing.T) {
 		if got := dets[id].Suspected(); got.Len() != 0 {
 			t.Errorf("deferral leaked into %v's suspect set: %v", id, got)
 		}
+	}
+	// The beat payload is a cached slice shared by every beat until the
+	// suspect set changes; the self-mark goes on a copy. Beats sent while
+	// deferring carry it, and no beat sent after readiness returned does —
+	// the logged payloads are the very slices that were sent, so a mark
+	// written into the shared slice would show up here.
+	marked, later := 0, 0
+	for _, ev := range col.Events() {
+		if ev.Kind != ring.KindBeat || ev.From != 1 {
+			continue
+		}
+		hasMark := slices.Contains(ev.Payload.([]dsys.ProcessID), 1)
+		switch {
+		case ev.At < 300*time.Millisecond:
+			if hasMark {
+				marked++
+			}
+		case ev.At >= 310*time.Millisecond:
+			later++
+			if hasMark {
+				t.Errorf("beat sent at %v after readiness returned still carries p1's self-mark", ev.At)
+			}
+		}
+	}
+	if marked == 0 || later == 0 {
+		t.Fatalf("saw %d self-marked beats while deferring and %d beats after; want both > 0", marked, later)
+	}
+}
+
+// TestHostileBeatIDsIgnored injects ring beats whose suspect lists name IDs
+// outside 1..n — the live transports validate a message's From but not the
+// IDs inside its payload. Every forged beat comes from the recipient's ring
+// predecessor, so it is adopted as upstream truth; the out-of-range IDs must
+// neither panic the detector nor appear in any output.
+func TestHostileBeatIDsIgnored(t *testing.T) {
+	const n = 4
+	k := sim.New(sim.Config{N: n, Network: network.Reliable{Latency: network.Fixed(time.Millisecond)}, Seed: 3})
+	dets := make([]*ring.Detector, n+1)
+	hostile := []dsys.ProcessID{0, -1, n + 1, 64, 1 << 30, -(1 << 30)}
+	for _, id := range dsys.Pids(n) {
+		k.Spawn(id, "det", func(p dsys.Proc) { dets[id] = ring.Start(p, ring.Options{}) })
+		succ := dsys.ProcessID(int(id)%n + 1)
+		k.SpawnTickLoop(id, "forge", dsys.TickLoop{Period: 3 * time.Millisecond, Fn: func(p dsys.Proc) {
+			p.Send(succ, ring.KindBeat, hostile)
+		}})
+	}
+	var errs []string
+	k.Every(time.Millisecond, time.Millisecond, func(now time.Duration) {
+		for _, id := range dsys.Pids(n) {
+			if s := dets[id].Suspected(); s.Len() != 0 {
+				errs = append(errs, fmt.Sprintf("%v: %v suspects %v", now, id, s))
+			}
+			if l := dets[id].Trusted(); l != 1 {
+				errs = append(errs, fmt.Sprintf("%v: %v trusts %v", now, id, l))
+			}
+		}
+	})
+	k.Run(500 * time.Millisecond)
+	if len(errs) > 0 {
+		t.Fatalf("forged out-of-range IDs reached the output (%d samples), first: %s", len(errs), errs[0])
 	}
 }

@@ -86,12 +86,16 @@ type Detector struct {
 	n     int
 	under fd.LeaderOracle
 
-	mu        sync.Mutex
-	list      fd.Set // output suspect list
-	lastAlive map[dsys.ProcessID]time.Duration
-	timeout   map[dsys.ProcessID]time.Duration
+	mu   sync.Mutex
+	list fd.Bitset // output suspect list
+	// scratch receives an adopted list; it is swapped with list only when
+	// the two differ, so an unchanged list keeps its cached payload.
+	scratch fd.Bitset
+	// peers is indexed by process ID: Heard is q's last I-AM-ALIVE and
+	// Timeout is Δp(q).
+	peers []fd.Peer
 	// leaderSince is when this process last became leader in its own view;
-	// it bounds the freshness reference for Task 3 so stale lastAlive
+	// it bounds the freshness reference for Task 3 so stale I-AM-ALIVE
 	// values from a previous leadership stint do not cause instant
 	// suspicions.
 	leaderSince time.Duration
@@ -107,20 +111,13 @@ var _ fd.Suspector = (*Detector)(nil)
 func Start(p dsys.Proc, under fd.LeaderOracle, opt Options) *Detector {
 	opt.fill()
 	d := &Detector{
-		opt:       opt,
-		self:      p.ID(),
-		n:         p.N(),
-		under:     under,
-		list:      fd.Set{},
-		lastAlive: make(map[dsys.ProcessID]time.Duration, p.N()),
-		timeout:   make(map[dsys.ProcessID]time.Duration, p.N()),
-	}
-	now := p.Now()
-	for _, q := range p.All() {
-		if q != d.self {
-			d.lastAlive[q] = now
-			d.timeout[q] = opt.InitialTimeout
-		}
+		opt:     opt,
+		self:    p.ID(),
+		n:       p.N(),
+		under:   under,
+		list:    fd.NewBitset(p.N()),
+		scratch: fd.NewBitset(p.N()),
+		peers:   fd.NewPeers(p.N(), p.Now(), opt.InitialTimeout),
 	}
 	if opt.Piggyback != nil {
 		opt.Piggyback.SetBeaconPayload(func() any {
@@ -160,7 +157,7 @@ func Start(p dsys.Proc, under fd.LeaderOracle, opt Options) *Detector {
 func (d *Detector) Suspected() fd.Set {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.list.Clone()
+	return d.list.Snapshot()
 }
 
 // FalseSuspicions returns how many leader-side suspicions were retracted by
@@ -199,7 +196,7 @@ func (d *Detector) task1Step(p dsys.Proc) {
 		return
 	}
 	d.mu.Lock()
-	list := d.list.Members()
+	list := d.list.Members() // cached and shared by every send until it changes
 	d.mu.Unlock()
 	for _, q := range p.All() {
 		if q != d.self {
@@ -226,11 +223,9 @@ func (d *Detector) task3Step(p dsys.Proc) {
 		if q == d.self || d.list.Has(q) {
 			continue
 		}
-		ref := d.lastAlive[q]
-		if d.leaderSince > ref {
-			ref = d.leaderSince
-		}
-		if now-ref > d.timeout[q] {
+		pq := &d.peers[q]
+		ref := max(pq.Heard, d.leaderSince)
+		if now-ref > pq.Timeout {
 			// Task 3: no I-AM-ALIVE within Δp(q); suspect q. The leader
 			// never suspects itself.
 			d.list.Add(q)
@@ -242,21 +237,23 @@ func (d *Detector) task3Step(p dsys.Proc) {
 // task4Step retracts a suspicion when an I-AM-ALIVE arrives (Task 4).
 func (d *Detector) task4Step(p dsys.Proc, m *dsys.Message) {
 	d.mu.Lock()
-	d.lastAlive[m.From] = p.Now()
+	d.peers[m.From].Heard = p.Now()
 	if d.list.Has(m.From) {
 		// Task 4: the suspicion was a mistake; retract it and back
 		// off so that q is suspected only a bounded number of times
 		// once the system is stable (proof of Theorem 1).
 		d.list.Remove(m.From)
 		d.falseSusp++
-		d.timeout[m.From] += d.opt.TimeoutIncrement
+		d.peers[m.From].Timeout += d.opt.TimeoutIncrement
 	}
 	d.mu.Unlock()
 }
 
 // task5Step: adopt the suspect list sent by the currently trusted process.
 func (d *Detector) task5Step(p dsys.Proc, m *dsys.Message) {
-	d.adopt(p, m.From, m.Payload.([]dsys.ProcessID))
+	if list, ok := m.Payload.([]dsys.ProcessID); ok {
+		d.adopt(p, m.From, list)
+	}
 }
 
 func (d *Detector) adopt(p dsys.Proc, from dsys.ProcessID, list []dsys.ProcessID) {
@@ -265,6 +262,13 @@ func (d *Detector) adopt(p dsys.Proc, from dsys.ProcessID, list []dsys.ProcessID
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.list = fd.NewSet(list...)
+	next := &d.scratch
+	next.Clear()
+	for _, q := range list {
+		next.Add(q) // IDs outside 1..n (a hostile payload) are ignored
+	}
+	if !next.Equal(&d.list) {
+		d.list, d.scratch = d.scratch, d.list
+	}
 	d.adoptions++
 }

@@ -1,6 +1,7 @@
 package transform_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/fd/ring"
 	"repro/internal/fd/transform"
 	"repro/internal/network"
+	"repro/internal/sim"
 )
 
 // theoremOneNet builds the exact link assumptions of Theorem 1 for an
@@ -241,5 +243,51 @@ func TestFalseSuspicionRetractionGrowsTimeout(t *testing.T) {
 	leader := res.Modules[dsys.ProcessID(1)].(*transform.Detector)
 	if leader.FalseSuspicions() == 0 {
 		t.Skip("scenario produced no false suspicions under this seed")
+	}
+}
+
+// TestHostileListIDsIgnored injects suspect lists from the trusted process
+// p1 that name IDs outside 1..n, plus one with a payload of the wrong type —
+// the live transports validate a message's From but not its payload. Each
+// forged list passes Task 5's trusted-sender check and is adopted; the
+// out-of-range IDs must neither panic the module nor appear in Suspected(),
+// and the ring's Trusted() stays on p1.
+func TestHostileListIDsIgnored(t *testing.T) {
+	const n = 4
+	k := sim.New(sim.Config{N: n, Network: network.Reliable{Latency: network.Fixed(time.Millisecond)}, Seed: 5})
+	rings := make([]*ring.Detector, n+1)
+	tps := make([]*transform.Detector, n+1)
+	for _, id := range dsys.Pids(n) {
+		k.Spawn(id, "det", func(p dsys.Proc) {
+			rings[id] = ring.Start(p, ring.Options{})
+			tps[id] = transform.Start(p, rings[id], transform.Options{})
+		})
+	}
+	hostile := []dsys.ProcessID{0, -1, n + 1, 64, 1 << 30, -(1 << 30)}
+	k.SpawnTickLoop(1, "forge", dsys.TickLoop{Period: 3 * time.Millisecond, Fn: func(p dsys.Proc) {
+		for q := dsys.ProcessID(2); q <= n; q++ {
+			p.Send(q, transform.KindList, hostile)
+			p.Send(q, transform.KindList, "not a list")
+		}
+	}})
+	var errs []string
+	k.Every(time.Millisecond, time.Millisecond, func(now time.Duration) {
+		for _, id := range dsys.Pids(n) {
+			if s := tps[id].Suspected(); s.Len() != 0 {
+				errs = append(errs, fmt.Sprintf("%v: %v suspects %v", now, id, s))
+			}
+			if l := rings[id].Trusted(); l != 1 {
+				errs = append(errs, fmt.Sprintf("%v: %v trusts %v", now, id, l))
+			}
+		}
+	})
+	k.Run(500 * time.Millisecond)
+	if len(errs) > 0 {
+		t.Fatalf("forged out-of-range IDs reached the output (%d samples), first: %s", len(errs), errs[0])
+	}
+	// About 50 genuine lists arrive in the run; the forged ones, three
+	// times as frequent, must have gone through adoption too.
+	if a := tps[2].Adoptions(); a < 150 {
+		t.Fatalf("p2 adopted %d lists; the forged lists never reached Task 5", a)
 	}
 }

@@ -11,6 +11,9 @@ import (
 	"time"
 
 	"repro/internal/dsys"
+	"repro/internal/fd"
+	"repro/internal/fd/ring"
+	"repro/internal/fd/transform"
 	"repro/internal/live"
 	"repro/internal/network"
 	"repro/internal/trace"
@@ -204,4 +207,90 @@ func TestDelayTimersStoppedOnCrash(t *testing.T) {
 	if got := col.Delivered("doomed"); got != 0 {
 		t.Fatalf("%d messages delivered to the crashed process", got)
 	}
+}
+
+// TestDetectorQueriesConcurrentWithCrashes runs ring ◇C with the Fig. 2
+// transformation on real goroutines while other goroutines hammer
+// Suspected() and Trusted(), and crashes hit the leader and a follower.
+// Under -race it covers the cached suspect-list payload: a sender shares one
+// slice with every receiver goroutine until its suspect set changes, so
+// nobody may write to it after publication. The snapshots Suspected()
+// returns belong to the caller, so the queriers modify them. A lossy first
+// stretch makes suspect sets grow and shrink, so payloads are rebuilt while
+// earlier ones are still being read. Delivery goes through a Transport that
+// injects directly: the in-memory network path serializes every send on one
+// cluster lock, which would order a receiver's read before the sender's
+// next write and hide exactly the race this test looks for.
+func TestDetectorQueriesConcurrentWithCrashes(t *testing.T) {
+	const n = 6
+	const chaos = 400 * time.Millisecond
+	var c *live.Cluster
+	start := time.Now()
+	deliver := func(m dsys.Message) {
+		// Drop about three in eight sends during the chaos stretch, decided
+		// by a hash of the send time so senders share no state.
+		if h := uint64(m.SentAt) * 0x9e3779b97f4a7c15; time.Since(start) < chaos && h>>61 < 3 {
+			return
+		}
+		c.Inject(&m)
+	}
+	c = live.NewCluster(live.Config{N: n, Transport: deliver})
+	defer c.Stop()
+	rings := make([]*ring.Detector, n+1)
+	tps := make([]*transform.Detector, n+1)
+	started := make(chan struct{}, n)
+	for _, id := range dsys.Pids(n) {
+		c.Spawn(id, "fd", func(p dsys.Proc) {
+			rings[id] = ring.Start(p, ring.Options{Period: 5 * time.Millisecond})
+			tps[id] = transform.Start(p, rings[id], transform.Options{Period: 5 * time.Millisecond})
+			started <- struct{}{}
+		})
+	}
+	for range n {
+		<-started
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				id := dsys.ProcessID(i%n + 1)
+				s := tps[id].Suspected()
+				s.Add(n)
+				r := rings[id].Suspected()
+				r.Remove(1)
+				_ = rings[id].Trusted()
+			}
+		}()
+	}
+	time.Sleep(chaos + 30*time.Millisecond)
+	c.Crash(1)
+	time.Sleep(15 * time.Millisecond)
+	c.Crash(4)
+	want := fd.NewSet(1, 4)
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		converged := true
+		for _, id := range []dsys.ProcessID{2, 3, 5, 6} {
+			if !tps[id].Suspected().Equal(want) || rings[id].Trusted() != 2 {
+				converged = false
+			}
+		}
+		if converged {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("survivors did not converge on suspects %v and leader p2", want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -53,9 +53,14 @@ type eventQueue struct {
 	// overflow holds events beyond the top level's horizon, heap-ordered.
 	overflow eventHeap
 	size     int
-	// arena carves the initial backing arrays of slots in chunks, so a run
-	// touching a few hundred slots pays a handful of allocations instead of
-	// one per slot (slots keep their arrays across rotations afterwards).
+	// free holds the zeroed backing arrays of emptied slots. A slot gives
+	// its array back when it drains or cascades and takes one from here
+	// when it next fills, so retained capacity tracks peak occupancy rather
+	// than every slot's largest burst.
+	free [][]event
+	// arena carves fresh backing arrays in chunks when free is empty, so a
+	// run touching a few hundred slots pays a handful of allocations
+	// instead of one per slot.
 	arena []event
 }
 
@@ -94,11 +99,19 @@ type wheelLevel struct {
 func (q *eventQueue) Len() int { return q.size }
 
 // slotCap is the initial capacity carved for a slot's backing array; slots
-// that collect more events in one rotation grow out of the arena normally
-// and keep the grown array.
+// that collect more events in one rotation grow out of the arena normally,
+// and the grown array returns to the free list when the slot empties.
 const slotCap = 4
 
+// newSlot returns an empty backing array for a slot that is about to fill:
+// the most recently released one, else a fresh carve from the arena.
 func (q *eventQueue) newSlot() []event {
+	if n := len(q.free); n > 0 {
+		s := q.free[n-1]
+		q.free[n-1] = nil
+		q.free = q.free[:n-1]
+		return s
+	}
 	if len(q.arena) < slotCap {
 		q.arena = make([]event, 64*slotCap)
 	}
@@ -149,14 +162,11 @@ func (q *eventQueue) place(e event) {
 	q.levels[li].occupied |= 1 << uint(slot)
 }
 
-// recycle zeroes a consumed slot slice so no message, task or closure
-// pointer is retained past its firing, and returns the empty slice for the
-// slot's next rotation.
-func recycle(es []event) []event {
-	for j := range es {
-		es[j] = event{}
-	}
-	return es[:0]
+// release zeroes a consumed slot array so no message, task or closure
+// pointer is retained past its firing, and returns it to the free list.
+func (q *eventQueue) release(es []event) {
+	clear(es)
+	q.free = append(q.free, es[:0])
 }
 
 // next0 returns the tick of the first occupied level-0 slot at or after the
@@ -187,7 +197,7 @@ func (q *eventQueue) drainSlot0(s int64) {
 	q.slots0[slot] = nil
 	q.occ0[slot>>6] &^= 1 << uint(slot&63)
 	q.cur.fill(es)
-	q.slots0[slot] = recycle(es)
+	q.release(es)
 }
 
 // dueSet is cur's implementation: the due events of the level-0 slot being
@@ -372,7 +382,7 @@ func (q *eventQueue) advance() {
 			for _, e := range es {
 				q.place(e)
 			}
-			lv.slots[slot] = recycle(es)
+			q.release(es)
 			continue
 		}
 		// A level-0 slot: its events become the due set.

@@ -270,3 +270,68 @@ func TestWheelPopDue(t *testing.T) {
 		t.Fatalf("queue retains %d events", q.Len())
 	}
 }
+
+// slotCapacity sums the capacity of every slot backing array the queue
+// holds: filed in a slot or waiting on the free list.
+func (q *eventQueue) slotCapacity() int {
+	c := 0
+	for _, s := range q.slots0 {
+		c += cap(s)
+	}
+	for li := range q.levels {
+		for _, s := range q.levels[li].slots {
+			c += cap(s)
+		}
+	}
+	for _, s := range q.free {
+		c += cap(s)
+	}
+	return c
+}
+
+// TestWheelSynchronizedTimersBoundedCapacity replays the large-n detector
+// shape: 1024 periodic timers started at the same instant, so every period
+// lands as one burst in a single slot, each fire emitting a short-delay
+// delivery (the heartbeat it sends). Pop order must match the reference
+// heap, and because emptied slot arrays return to the free list the
+// retained slot capacity must stay within a small multiple of the peak
+// queue length — not grow with the number of slots a burst ever touched,
+// as it did when every slot kept its largest array.
+func TestWheelSynchronizedTimersBoundedCapacity(t *testing.T) {
+	const timers = 1024
+	var wheel eventQueue
+	var ref refQueue
+	var seq uint64
+	now := time.Duration(0)
+	push := func(at time.Duration, kind eventKind) {
+		seq++
+		e := event{at: at, seq: seq, kind: kind}
+		wheel.push(e)
+		ref.push(e)
+	}
+	for i := 0; i < timers; i++ {
+		push(0, evSleep)
+	}
+	peak := 0
+	for ref.Len() > 0 && now < 2*time.Second {
+		if l := wheel.Len(); l > peak {
+			peak = l
+		}
+		we, re := wheel.pop(), ref.pop()
+		if we.at != re.at || we.seq != re.seq {
+			t.Fatalf("pop mismatch at %v: wheel (%v, %d) vs heap (%v, %d)", now, we.at, we.seq, re.at, re.seq)
+		}
+		now = we.at
+		if we.kind == evSleep {
+			push(now+10*time.Millisecond, evSleep)
+			push(now+time.Millisecond, evDeliver)
+		}
+	}
+	if peak < timers {
+		t.Fatalf("peak Len %d below the timer population %d", peak, timers)
+	}
+	if c := wheel.slotCapacity(); c > 4*peak {
+		t.Fatalf("retained slot capacity %d events exceeds 4x the peak Len %d", c, peak)
+	}
+	t.Logf("peak Len %d, retained slot capacity %d", peak, wheel.slotCapacity())
+}
