@@ -590,7 +590,7 @@ func BenchmarkReplicatedLogThroughput(b *testing.B) {
 					}
 				})
 				k.Run(5 * time.Second)
-				applied := len(reps[1].AppliedValues())
+				applied := reps[1].AppliedCount()
 				if applied != n*perReplica {
 					b.Fatalf("replica applied %d of %d commands", applied, n*perReplica)
 				}

@@ -18,9 +18,12 @@ import (
 // earlier batches, with batching and pipelining on. Per-origin FIFO must
 // hold at every replica: an origin's commands appear in strictly increasing
 // Seq order, no matter how submissions interleave with in-flight applies.
+// Reader goroutines poll Applied, AppliedValues and AppliedCount throughout:
+// applied records share the decided batches' command slices, so any write
+// to a batch after it was proposed would race with those reads.
 // This file lives in internal/cluster so CI's -race job covers it (the sim
 // runtime in internal/core is single-threaded by construction; the race
-// surface is Submit vs the live apply path).
+// surface is Submit and the log readers vs the live apply path).
 func TestSubmitDuringApplyKeepsOriginFIFO(t *testing.T) {
 	const (
 		n          = 3
@@ -61,6 +64,48 @@ func TestSubmitDuringApplyKeepsOriginFIFO(t *testing.T) {
 	for i := 0; i < n; i++ {
 		<-ready
 	}
+	// Readers: each view grows monotonically, is read in the order count ->
+	// entries -> values so each read can only see more than the one before,
+	// and every Applied snapshot must be a prefix of the final log.
+	total := submitters * perWorker
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	snaps := make(map[dsys.ProcessID][]core.AppliedEntry)
+	var snapsMu sync.Mutex
+	for _, id := range dsys.Pids(n) {
+		id := id
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			r := getRep(id)
+			var last []core.AppliedEntry
+			for {
+				select {
+				case <-stop:
+					snapsMu.Lock()
+					snaps[id] = last
+					snapsMu.Unlock()
+					return
+				default:
+				}
+				c := r.AppliedCount()
+				a := r.Applied()
+				v := r.AppliedValues()
+				if len(a) < c || len(v) < len(a) || len(a) < len(last) || len(a) > total {
+					t.Errorf("%v views out of step: count %d, entries %d (previous %d), values %d", id, c, len(a), len(last), len(v))
+					return
+				}
+				for i := range a {
+					if v[i] != a[i].Cmd.Payload {
+						t.Errorf("%v AppliedValues[%d] = %v, Applied has %v", id, i, v[i], a[i].Cmd.Payload)
+						return
+					}
+				}
+				last = a
+				time.Sleep(time.Millisecond)
+			}
+		}()
+	}
 	// Several goroutines submit concurrently at p1 (plus one at p2 so slots
 	// carry competing origins); total command count is fixed and known.
 	var wg sync.WaitGroup
@@ -79,12 +124,11 @@ func TestSubmitDuringApplyKeepsOriginFIFO(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	total := submitters * perWorker
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		done := true
 		for _, id := range dsys.Pids(n) {
-			if len(getRep(id).Applied()) < total {
+			if getRep(id).AppliedCount() < total {
 				done = false
 				break
 			}
@@ -93,13 +137,25 @@ func TestSubmitDuringApplyKeepsOriginFIFO(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
+			close(stop)
+			readers.Wait()
 			t.Fatalf("logs did not converge: p1=%d p2=%d p3=%d of %d",
 				len(getRep(1).Applied()), len(getRep(2).Applied()), len(getRep(3).Applied()), total)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	// Identical logs everywhere; per-origin Seq strictly increasing.
+	close(stop)
+	readers.Wait()
+	// Identical logs everywhere; per-origin Seq strictly increasing; every
+	// reader's last snapshot a prefix of the log.
 	ref := getRep(1).Applied()
+	for id, snap := range snaps {
+		for i, e := range snap {
+			if e != ref[i] {
+				t.Fatalf("%v reader snapshot diverges at %d: %+v vs %+v", id, i, e, ref[i])
+			}
+		}
+	}
 	for _, id := range dsys.Pids(n) {
 		got := getRep(id).Applied()
 		if len(got) != total {

@@ -181,28 +181,32 @@ type Replica struct {
 	pending       []Command // submitted, not yet applied own commands
 	pendHead      int       // first live index of pending (amortized pop)
 	nextSeq       int64
-	decided       map[string]consensus.Decide // instance name -> decision
-	decidedHigh   int                         // highest log slot seen decided
-	applied       []AppliedEntry
-	appliedSeen   map[cmdKey]bool // (Origin, Seq) already applied
-	applyNext     int             // next slot to apply (first not-yet-applied)
-	nextOpen      int             // next slot this replica will open an instance for
-	inflightSlot  int             // slot the current own-batch proposal went to (0 = none)
-	inflight      []Command       // the commands of that proposal
-	kicks         map[int]Batch   // announced batches by slot, applyNext..; pruned on apply
-	kickHigh      int             // highest announced slot seen
-	transferStall int             // frontier at the last failed state transfer
-	kickKind      string          // KindKick, namespaced by the instance
-	fetchKind     string          // KindFetch, namespaced by the instance
-	stateKind     string          // KindState, namespaced by the instance
-	doneKind      string          // KindDone, namespaced by the instance
-	instPrefix    string          // instance-name prefix of log slots, for decidedHigh
+	decided       map[int]consensus.Decide         // log slot -> decision
+	decidedHigh   int                              // highest log slot seen decided
+	applied       []appliedSlot                    // per-slot applied records, in slot order
+	appliedN      int                              // commands across applied
+	seen          map[dsys.ProcessID]*dsys.SeqRuns // applied Seqs by origin
+	applyNext     int                              // next slot to apply (first not-yet-applied)
+	nextOpen      int                              // next slot this replica will open an instance for
+	inflightSlot  int                              // slot the current own-batch proposal went to (0 = none)
+	inflight      []Command                        // the commands of that proposal
+	kicks         map[int]Batch                    // announced batches by slot, applyNext..; pruned on apply
+	kickHigh      int                              // highest announced slot seen
+	transferStall int                              // frontier at the last failed state transfer
+	kickKind      string                           // KindKick, namespaced by the instance
+	fetchKind     string                           // KindFetch, namespaced by the instance
+	stateKind     string                           // KindState, namespaced by the instance
+	doneKind      string                           // KindDone, namespaced by the instance
+	instPrefix    string                           // consensus instance-name prefix of log slots
 }
 
-// cmdKey is the identity a command is deduplicated by (see Command).
-type cmdKey struct {
-	origin dsys.ProcessID
-	seq    int64
+// appliedSlot is the applied record of one slot: the commands of its decided
+// batch that were applied there, in batch order. cmds shares the decided
+// batch's slice unless a duplicate was dropped from it; batches are never
+// written after they are proposed, so the sharing is read-only.
+type appliedSlot struct {
+	slot int
+	cmds []Command
 }
 
 // maxTransferChunk is the donor-side cap on entries per State reply.
@@ -252,20 +256,20 @@ func StartReplica(p dsys.Proc, cfg Config) *Replica {
 		cfg.TransferTimeout = 250 * time.Millisecond
 	}
 	r := &Replica{
-		cfg:         cfg,
-		self:        p.ID(),
-		det:         cfg.Detector,
-		decided:     make(map[string]consensus.Decide),
-		appliedSeen: make(map[cmdKey]bool),
-		kicks:       make(map[int]Batch),
-		nextSeq:     cfg.SeqBase,
-		applyNext:   1,
-		nextOpen:    1,
-		kickKind:    KindKick,
-		fetchKind:   KindFetch,
-		stateKind:   KindState,
-		doneKind:    KindDone,
-		instPrefix:  cfg.Consensus.Instance + "/log/",
+		cfg:        cfg,
+		self:       p.ID(),
+		det:        cfg.Detector,
+		decided:    make(map[int]consensus.Decide),
+		seen:       make(map[dsys.ProcessID]*dsys.SeqRuns),
+		kicks:      make(map[int]Batch),
+		nextSeq:    cfg.SeqBase,
+		applyNext:  1,
+		nextOpen:   1,
+		kickKind:   KindKick,
+		fetchKind:  KindFetch,
+		stateKind:  KindState,
+		doneKind:   KindDone,
+		instPrefix: cfg.Consensus.Instance + "/log/",
 	}
 	if cfg.Consensus.Instance != "" {
 		suffix := "/" + cfg.Consensus.Instance
@@ -298,9 +302,9 @@ func StartReplica(p dsys.Proc, cfg Config) *Replica {
 			return
 		}
 		r.mu.Lock()
-		_, dup := r.decided[dec.Inst]
+		_, dup := r.decided[s]
 		if !dup {
-			r.decided[dec.Inst] = dec
+			r.decided[s] = dec
 			if s > r.decidedHigh {
 				r.decidedHigh = s
 			}
@@ -362,7 +366,7 @@ func (r *Replica) responderTask(p dsys.Proc) {
 			return false
 		}
 		r.mu.Lock()
-		_, dec := r.decided[env.Inst]
+		_, dec := r.decided[s]
 		ahead := s > r.applyNext+r.cfg.Pipeline
 		r.mu.Unlock()
 		return dec || ahead
@@ -377,7 +381,7 @@ func (r *Replica) responderTask(p dsys.Proc) {
 		}
 		env := m.Payload.(consensus.Msg)
 		r.mu.Lock()
-		dec, isDec := r.decided[env.Inst]
+		dec, isDec := r.decided[r.slotOf(env.Inst)]
 		r.mu.Unlock()
 		switch {
 		case isDec:
@@ -431,7 +435,7 @@ func (r *Replica) stateServerTask(p dsys.Proc) {
 		r.mu.Lock()
 		resp.High = r.decidedHigh
 		for s := req.From; s > 0 && s <= r.decidedHigh && len(resp.Entries) < limit; s++ {
-			dec, ok := r.decided[r.instance(s)]
+			dec, ok := r.decided[s]
 			if !ok {
 				break
 			}
@@ -455,11 +459,10 @@ func (r *Replica) installState(st State) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, e := range st.Entries {
-		inst := r.instance(e.Slot)
-		if _, dup := r.decided[inst]; dup {
+		if _, dup := r.decided[e.Slot]; dup {
 			continue
 		}
-		r.decided[inst] = consensus.Decide{Inst: inst, Round: e.Round, Value: e.Batch}
+		r.decided[e.Slot] = consensus.Decide{Inst: r.instance(e.Slot), Round: e.Round, Value: e.Batch}
 		if e.Slot > r.decidedHigh {
 			r.decidedHigh = e.Slot
 		}
@@ -478,7 +481,7 @@ func (r *Replica) nextGap(from int) (int, int) {
 	defer r.mu.Unlock()
 	s := from
 	for s <= r.decidedHigh {
-		if _, ok := r.decided[r.instance(s)]; !ok {
+		if _, ok := r.decided[s]; !ok {
 			break
 		}
 		s++
@@ -565,8 +568,12 @@ func (r *Replica) PendingCount() int {
 func (r *Replica) Applied() []AppliedEntry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]AppliedEntry, len(r.applied))
-	copy(out, r.applied)
+	out := make([]AppliedEntry, 0, r.appliedN)
+	for _, a := range r.applied {
+		for _, cmd := range a.cmds {
+			out = append(out, AppliedEntry{Slot: a.slot, Cmd: cmd})
+		}
+	}
 	return out
 }
 
@@ -574,11 +581,21 @@ func (r *Replica) Applied() []AppliedEntry {
 func (r *Replica) AppliedValues() []any {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]any, len(r.applied))
-	for i, a := range r.applied {
-		out[i] = a.Cmd.Payload
+	out := make([]any, 0, r.appliedN)
+	for _, a := range r.applied {
+		for _, cmd := range a.cmds {
+			out = append(out, cmd.Payload)
+		}
 	}
 	return out
+}
+
+// AppliedCount returns how many commands have been applied so far: the
+// length of Applied(), in O(1).
+func (r *Replica) AppliedCount() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.appliedN
 }
 
 func (r *Replica) instance(slot int) string {
@@ -600,7 +617,7 @@ func (r *Replica) slotOf(inst string) int {
 func (r *Replica) lookupDecided(slot int) (any, int, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if dec, ok := r.decided[r.instance(slot)]; ok {
+	if dec, ok := r.decided[slot]; ok {
 		return dec.Value, dec.Round, true
 	}
 	return nil, 0, false
@@ -687,40 +704,68 @@ func (r *Replica) dropPendingLocked(seq int64) {
 	}
 }
 
+// recordLocked marks the commands of slot's decided batch applied and
+// returns those not applied before, in batch order: the batch's own slice
+// when nothing was a duplicate, else a filtered copy. Each (Origin, Seq) is
+// applied at most once. The same command can be decided in two slots: a
+// replica idle at slot j that received a kick announcing a batch for slot
+// k>j proposes it at j, while the kicker proposes it at k, and both
+// instances can decide it.
+func (r *Replica) recordLocked(slot int, cmds []Command) []Command {
+	var kept []Command
+	dropped := false
+	for i, cmd := range cmds {
+		seen := r.seen[cmd.Origin]
+		if seen == nil {
+			seen = new(dsys.SeqRuns)
+			r.seen[cmd.Origin] = seen
+		}
+		if seen.Add(cmd.Seq) {
+			if dropped {
+				kept = append(kept, cmd)
+			}
+		} else if !dropped {
+			dropped = true
+			kept = append(make([]Command, 0, len(cmds)-1), cmds[:i]...)
+		}
+		if cmd.Origin == r.self {
+			r.dropPendingLocked(cmd.Seq)
+		}
+	}
+	if !dropped {
+		kept = cmds
+	}
+	if len(kept) > 0 {
+		r.applied = append(r.applied, appliedSlot{slot: slot, cmds: kept})
+		r.appliedN += len(kept)
+	}
+	return kept
+}
+
 // drainApplies applies every contiguously decided slot from applyNext on, in
 // strict slot order — decisions that arrived out of order sit parked in the
 // decided map until the slots below them land. Only the driver task calls
-// this, so Apply callbacks are never concurrent. Completing a slot releases
-// the own-batch in-flight marker (also when a peer adopted our kicked batch
-// and it was decided — and applied — at some other slot) and prunes the
-// kick buffer.
+// this, so Apply callbacks are never concurrent; they run for a whole slot
+// between one unlock and relock of r.mu. Completing a slot releases the
+// own-batch in-flight marker (also when a peer adopted our kicked batch and
+// it was decided — and applied — at some other slot) and prunes the kick
+// buffer.
 func (r *Replica) drainApplies() {
 	r.mu.Lock()
 	for {
-		dec, ok := r.decided[r.instance(r.applyNext)]
+		dec, ok := r.decided[r.applyNext]
 		if !ok {
 			break
 		}
 		slot := r.applyNext
 		batch, _ := dec.Value.(Batch)
-		for _, cmd := range batch.Cmds {
-			// Apply each (Origin, Seq) at most once. The same command can be
-			// decided in two slots: a replica idle at slot j that received a
-			// kick announcing a batch for slot k>j proposes it at j, while
-			// the kicker proposes it at k, and both instances can decide it.
-			key := cmdKey{cmd.Origin, cmd.Seq}
-			if !r.appliedSeen[key] {
-				r.appliedSeen[key] = true
-				r.applied = append(r.applied, AppliedEntry{Slot: slot, Cmd: cmd})
-				if apply := r.cfg.Apply; apply != nil {
-					r.mu.Unlock()
-					apply(slot, cmd)
-					r.mu.Lock()
-				}
+		cmds := r.recordLocked(slot, batch.Cmds)
+		if apply := r.cfg.Apply; apply != nil && len(cmds) > 0 {
+			r.mu.Unlock()
+			for _, cmd := range cmds {
+				apply(slot, cmd)
 			}
-			if cmd.Origin == r.self {
-				r.dropPendingLocked(cmd.Seq)
-			}
+			r.mu.Lock()
 		}
 		delete(r.kicks, slot)
 		r.applyNext = slot + 1
@@ -737,7 +782,7 @@ func (r *Replica) drainApplies() {
 	if r.inflightSlot != 0 {
 		all := true
 		for _, cmd := range r.inflight {
-			if !r.appliedSeen[cmdKey{cmd.Origin, cmd.Seq}] {
+			if s := r.seen[cmd.Origin]; s == nil || !s.Has(cmd.Seq) {
 				all = false
 				break
 			}
@@ -763,7 +808,7 @@ func (r *Replica) openNext(p dsys.Proc) bool {
 		r.mu.Unlock()
 		return false // window full: wait for applyNext to advance
 	}
-	if _, ok := r.decided[r.instance(s)]; ok {
+	if _, ok := r.decided[s]; ok {
 		// Already decided (out-of-order arrival or installed state): no
 		// instance to run — drainApplies will consume it once contiguous.
 		r.nextOpen = s + 1
@@ -838,8 +883,8 @@ func (r *Replica) runInstance(p dsys.Proc, slot int, prop Batch, behind bool) {
 	// Record the decision (Propose may have learned it from a probe answer
 	// rather than the decide broadcast) so the responderTask can serve this
 	// slot and decidedHigh reflects our own frontier.
-	if _, dup := r.decided[opt.Instance]; !dup {
-		r.decided[opt.Instance] = consensus.Decide{Inst: opt.Instance, Round: res.Round, Value: res.Value}
+	if _, dup := r.decided[slot]; !dup {
+		r.decided[slot] = consensus.Decide{Inst: opt.Instance, Round: res.Round, Value: res.Value}
 	}
 	if slot > r.decidedHigh {
 		r.decidedHigh = slot

@@ -13,7 +13,7 @@
 package rbcast
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/dsys"
@@ -38,10 +38,17 @@ type Wire struct {
 	Payload any
 }
 
-type key struct {
+// stream identifies one origin module's life: its broadcasts carry Seqs
+// 1, 2, ... in that order, so their delivered set is one run per stream in
+// the common case (see dsys.SeqRuns).
+type stream struct {
 	origin dsys.ProcessID
 	inc    int64
-	seq    int
+}
+
+type handler struct {
+	id int
+	fn Handler
 }
 
 // Handler receives an R-delivered payload. It runs on the module's relay
@@ -59,9 +66,12 @@ type Module struct {
 
 	mu        sync.Mutex
 	seq       int
-	delivered map[key]bool
-	handlers  map[int]Handler
-	nextH     int
+	delivered map[stream]*dsys.SeqRuns
+	// handlers is copy-on-write in registration order: a slice, once
+	// published, is never written, so a delivery snapshots it by reading the
+	// header.
+	handlers []handler
+	nextH    int
 }
 
 // Start attaches a reliable-broadcast module to p's process, using the
@@ -99,8 +109,7 @@ func StartNamespaceInc(p dsys.Proc, ns string, inc int64) *Module {
 		all:       p.All(),
 		kind:      kind,
 		inc:       inc,
-		delivered: make(map[key]bool),
-		handlers:  make(map[int]Handler),
+		delivered: make(map[stream]*dsys.SeqRuns),
 	}
 	p.Spawn("rb-relay", m.relayTask)
 	return m
@@ -114,11 +123,13 @@ func (m *Module) OnDeliver(fn Handler) (cancel func()) {
 	defer m.mu.Unlock()
 	id := m.nextH
 	m.nextH++
-	m.handlers[id] = fn
+	m.handlers = append(m.handlers[:len(m.handlers):len(m.handlers)], handler{id, fn})
 	return func() {
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		delete(m.handlers, id)
+		if i := slices.IndexFunc(m.handlers, func(h handler) bool { return h.id == id }); i >= 0 {
+			m.handlers = slices.Concat(m.handlers[:i], m.handlers[i+1:])
+		}
 	}
 }
 
@@ -139,30 +150,28 @@ func (m *Module) Broadcast(p dsys.Proc, payload any) {
 }
 
 func (m *Module) relayTask(p dsys.Proc) {
+	match := dsys.MatchKind(m.kind)
 	for {
-		msg, ok := p.Recv(dsys.MatchKind(m.kind))
+		msg, ok := p.Recv(match)
 		if !ok {
 			return
 		}
 		w := msg.Payload.(Wire)
-		k := key{w.Origin, w.Inc, w.Seq}
+		k := stream{w.Origin, w.Inc}
 		m.mu.Lock()
-		if m.delivered[k] {
+		seen := m.delivered[k]
+		if seen == nil {
+			seen = new(dsys.SeqRuns)
+			m.delivered[k] = seen
+		}
+		if !seen.Add(int64(w.Seq)) {
 			m.mu.Unlock()
 			continue
 		}
-		m.delivered[k] = true
-		// Snapshot handlers in registration order so delivery callbacks run
-		// deterministically.
-		ids := make([]int, 0, len(m.handlers))
-		for id := range m.handlers {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		hs := make([]Handler, 0, len(ids))
-		for _, id := range ids {
-			hs = append(hs, m.handlers[id])
-		}
+		// Snapshot the handlers (registration order, so delivery callbacks
+		// run deterministically): registrations and cancellations from inside
+		// a handler take effect from the next delivery on.
+		hs := m.handlers
 		m.mu.Unlock()
 		// Relay before delivering: if this process crashes right after
 		// acting on the message, everyone else still receives it.
@@ -172,7 +181,7 @@ func (m *Module) relayTask(p dsys.Proc) {
 			}
 		}
 		for _, h := range hs {
-			h(p, w.Origin, w.Payload)
+			h.fn(p, w.Origin, w.Payload)
 		}
 	}
 }
